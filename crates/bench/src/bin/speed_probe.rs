@@ -33,11 +33,16 @@
 //! each one is timed in isolation.
 //!
 //! `--telemetry` measures the recorder's overhead: every scheme is timed
-//! a second time with a default-stride telemetry spec attached (wear
-//! probe + event ring + stride-clamped batching), and the per-scheme
-//! slowdown lands in `BENCH_speed_telemetry.json`. The baseline pass and
-//! `BENCH_speed.json` stay untouched either way, so committed-throughput
-//! comparisons always see the telemetry-off numbers.
+//! with and without a default-stride telemetry spec attached (wear probe +
+//! event ring + stride-clamped batching) in paired trials that alternate
+//! which side runs first. Each trial repeats the lifetime until it has run
+//! for a minimum wall time (0.5 s, or 0.05 s under `--smoke`), and the
+//! per-scheme slowdown — the median over the pairs, with its spread —
+//! lands in `BENCH_speed_telemetry.json`. Because both sides of a pair run
+//! back to back in one process, the ratio is comparable across machines
+//! where absolute rates are not (CI gates on it). The single-shot baseline
+//! pass and `BENCH_speed.json` stay untouched either way, so
+//! committed-throughput comparisons always see the telemetry-off numbers.
 //!
 //! The report also carries a `scaling` series: capped BPA runs at
 //! increasing device sizes (2^16 / 2^20 / 2^24 lines by default, or the
@@ -97,14 +102,22 @@ struct SpeedReport {
     scaling: Vec<ScalePoint>,
 }
 
+/// Paired telemetry-off/on trials per scheme under `--telemetry`.
+const TELEMETRY_TRIALS: usize = 5;
+
 /// One scheme's recorder-overhead row in `BENCH_speed_telemetry.json`.
 #[derive(Debug, Serialize, Deserialize)]
 struct TelemetrySpeed {
     name: String,
+    /// Median telemetry-off throughput over the paired trials.
     baseline_mw_per_sec: f64,
+    /// Median telemetry-on throughput over the paired trials.
     telemetry_mw_per_sec: f64,
-    /// Slowdown of the telemetry-on run in percent (positive = slower).
+    /// Median per-pair slowdown of the telemetry-on run in percent
+    /// (positive = slower).
     overhead_pct: f64,
+    /// Largest minus smallest per-pair slowdown, in percentage points.
+    overhead_spread_pct: f64,
     samples: u64,
 }
 
@@ -114,7 +127,80 @@ struct TelemetryReport {
     probe: String,
     smoke: bool,
     stride: u64,
+    /// Paired off/on trials per scheme.
+    trials: usize,
+    /// Minimum wall time of one trial, in seconds.
+    min_trial_seconds: f64,
     schemes: Vec<TelemetrySpeed>,
+}
+
+/// Run `scenario` back to back until `min_seconds` of wall time have
+/// passed; return the demand-write throughput in Mw/s and the telemetry
+/// sample count of one run.
+fn trial_mw_per_sec(scenario: &Scenario, min_seconds: f64) -> (f64, u64) {
+    let t = Instant::now();
+    let mut demand = 0u64;
+    loop {
+        let report = run_scenario(scenario).expect("telemetry speed scenario failed");
+        let r = report.lifetime();
+        demand += r.demand_writes;
+        let dt = t.elapsed().as_secs_f64();
+        if dt >= min_seconds {
+            let samples = r.telemetry.as_ref().map_or(0, |s| s.samples.len() as u64);
+            return (demand as f64 / dt / 1e6, samples);
+        }
+    }
+}
+
+/// Median of a non-empty slice (sorted in place).
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// Paired telemetry-off/on trials of one scheme, alternating which side
+/// runs first so slow host phases land on both sides alike.
+fn telemetry_row(
+    name: &str,
+    baseline: &Scenario,
+    instrumented: &Scenario,
+    min_seconds: f64,
+) -> TelemetrySpeed {
+    let (mut off, mut on, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
+    let mut samples = 0;
+    for i in 0..TELEMETRY_TRIALS {
+        let (base, tel) = if i % 2 == 0 {
+            let base = trial_mw_per_sec(baseline, min_seconds).0;
+            (base, trial_mw_per_sec(instrumented, min_seconds))
+        } else {
+            let tel = trial_mw_per_sec(instrumented, min_seconds);
+            (trial_mw_per_sec(baseline, min_seconds).0, tel)
+        };
+        samples = tel.1;
+        off.push(base);
+        on.push(tel.0);
+        overhead.push((base / tel.0 - 1.0) * 100.0);
+    }
+    let overhead_pct = median(&mut overhead);
+    let row = TelemetrySpeed {
+        name: name.into(),
+        baseline_mw_per_sec: median(&mut off),
+        telemetry_mw_per_sec: median(&mut on),
+        overhead_pct,
+        overhead_spread_pct: overhead[TELEMETRY_TRIALS - 1] - overhead[0],
+        samples,
+    };
+    println!(
+        "{name}+telemetry: {samples} samples, {:.1} vs {:.1} Mw/s, {overhead_pct:+.1}% overhead \
+         (median of {TELEMETRY_TRIALS} pairs, spread {:.1} pts)",
+        row.telemetry_mw_per_sec, row.baseline_mw_per_sec, row.overhead_spread_pct,
+    );
+    row
 }
 
 /// Current `VmHWM` (peak resident set) of this process, in bytes.
@@ -180,6 +266,7 @@ fn main() {
     let (data_lines, endurance): (u64, u32) =
         if smoke { (1 << 12, 500) } else { (1 << 16, 10_000) };
     let stride = TelemetrySpec::default().stride;
+    let min_trial_seconds = if smoke { 0.05 } else { 0.5 };
 
     let mut schemes = Vec::new();
     let mut telemetry_rows = Vec::new();
@@ -221,25 +308,8 @@ fn main() {
         });
 
         if with_telemetry {
-            let instrumented = scenario.with_telemetry(TelemetrySpec::with_stride(stride));
-            let t = Instant::now();
-            let report = run_scenario(&instrumented).expect("telemetry speed scenario failed");
-            let r = report.lifetime();
-            let dt = t.elapsed().as_secs_f64();
-            let telemetry_mw_per_sec = r.demand_writes as f64 / dt / 1e6;
-            let overhead_pct = (mw_per_sec / telemetry_mw_per_sec - 1.0) * 100.0;
-            let samples = r.telemetry.as_ref().map(|s| s.samples.len() as u64).unwrap_or_default();
-            println!(
-                "{name}+telemetry: {samples} samples in {dt:.2}s ({telemetry_mw_per_sec:.1} \
-                 Mw/s, {overhead_pct:+.1}% overhead)"
-            );
-            telemetry_rows.push(TelemetrySpeed {
-                name: name.into(),
-                baseline_mw_per_sec: mw_per_sec,
-                telemetry_mw_per_sec,
-                overhead_pct,
-                samples,
-            });
+            let instrumented = scenario.clone().with_telemetry(TelemetrySpec::with_stride(stride));
+            telemetry_rows.push(telemetry_row(name, &scenario, &instrumented, min_trial_seconds));
         }
     }
 
@@ -272,6 +342,8 @@ fn main() {
             probe: "bpa-lifetime".into(),
             smoke,
             stride,
+            trials: TELEMETRY_TRIALS,
+            min_trial_seconds,
             schemes: telemetry_rows,
         };
         let json = serde_json::to_string_pretty(&report).expect("serialize telemetry report");

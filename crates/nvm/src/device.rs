@@ -179,12 +179,16 @@ impl NvmDevice {
         Some(WearSnapshot { lines: self.wear.lines(), total, mean, cov, max: p.max })
     }
 
-    /// Fold one line's count change (`prev` -> its current value) into the
-    /// probe. Callers check `self.probe.is_some()` first so the fast path
-    /// pays only that branch.
-    fn probe_note(&mut self, pa: Pa, prev: u32) {
+    /// Fold `k` writes to one line whose count was `prev` into the probe.
+    /// Exact without re-deriving the new count: every applied write raises
+    /// a line's derived count by one, failure refills included (the
+    /// countdown restarts at `limit` and `extra` grows by `limit`).
+    /// Callers check `self.probe.is_some()` first so the fast path pays
+    /// only that branch.
+    fn probe_add(&mut self, prev: u32, k: u64) {
         let Some(p) = self.probe.as_deref_mut() else { return };
-        let new = self.wear.write_count(pa);
+        // Wraps exactly as the derived `u32` count does.
+        let new = prev.wrapping_add(k as u32);
         p.sumsq += square(new) - square(prev);
         p.max = p.max.max(new);
     }
@@ -411,7 +415,7 @@ impl NvmDevice {
     fn wear_write_probed(&mut self, pa: Pa, overhead: bool) -> WriteOutcome {
         let prev = self.wear.write_count(pa);
         let out = self.wear_write_body(pa, overhead);
-        self.probe_note(pa, prev);
+        self.probe_add(prev, 1);
         out
     }
 
@@ -490,10 +494,15 @@ impl NvmDevice {
         (applied, last)
     }
 
-    /// Range path with fault injection or the wear probe active: scalar
-    /// `write_wl` per line, preserving every fault boundary.
+    /// Range path with fault injection or the wear probe active. An armed
+    /// fault plan takes scalar `write_wl` per line, preserving every fault
+    /// boundary; the probe alone keeps the chunked sweep
+    /// ([`Self::write_wl_range_probed`]).
     #[cold]
     fn write_wl_range_slow(&mut self, start: Pa, n: u64) -> (u64, WriteOutcome) {
+        if self.fault.is_none() {
+            return self.write_wl_range_probed(start, n);
+        }
         let mut applied = 0u64;
         let mut last = WriteOutcome::Ok;
         while applied < n {
@@ -508,6 +517,41 @@ impl NvmDevice {
                 _ => {
                     applied += 1;
                     last = out;
+                }
+            }
+        }
+        (applied, last)
+    }
+
+    /// `write_wl_range`'s chunk sweep with the wear probe on and no fault
+    /// plan, out of line so the probe-off loop keeps its codegen. A
+    /// failure-free chunk of `n` lines with counts `c` moves the probe in
+    /// closed form: each count rises by exactly one, so Σc² grows by
+    /// `2·Σc + n` and the max becomes at least `max(c) + 1`. Chunks with a
+    /// failing line take the probed scalar body line by line.
+    #[inline(never)]
+    fn write_wl_range_probed(&mut self, start: Pa, n: u64) -> (u64, WriteOutcome) {
+        let mut applied = 0u64;
+        let mut last = WriteOutcome::Ok;
+        while applied < n {
+            let chunk = 64.min(n - applied);
+            let base = start + applied;
+            if let Some((sum, max)) = self.wear.clear_range_count_moments(base, chunk) {
+                self.wear.countdown_range_unchecked(base, chunk);
+                self.counters.total_writes += chunk;
+                self.counters.overhead_writes += chunk;
+                let p = self.probe.as_deref_mut().unwrap();
+                p.sumsq += u128::from(2 * sum + chunk);
+                p.max = p.max.max(max + 1);
+                applied += chunk;
+                last = WriteOutcome::Ok;
+            } else {
+                for _ in 0..chunk {
+                    last = self.wear_write_probed(start + applied, true);
+                    applied += 1;
+                    if last == WriteOutcome::DeviceDead {
+                        return (applied, last);
+                    }
                 }
             }
         }
@@ -596,7 +640,8 @@ impl NvmDevice {
             return (0, WriteOutcome::Ok);
         }
         // Deriving a write count costs a bitset probe, so only snapshot the
-        // pre-run value when the probe actually needs it.
+        // pre-run value when the probe actually needs it; the probe then
+        // adds the applied writes to it (see `probe_add`).
         let prev = if self.probe.is_some() { Some(self.wear.write_count(pa)) } else { None };
         let limit = self.wear.limit(pa);
         let rem = self.wear.remaining(pa);
@@ -606,7 +651,7 @@ impl NvmDevice {
             self.counters.total_writes += n;
             self.counters.demand_writes += n;
             if let Some(prev) = prev {
-                self.probe_note(pa, prev);
+                self.probe_add(prev, n);
             }
             return (n, WriteOutcome::Ok);
         }
@@ -618,7 +663,7 @@ impl NvmDevice {
         if n >= writes_to_death {
             self.wear.refill_after_failures(pa, failures_to_death, 0);
             if let Some(prev) = prev {
-                self.probe_note(pa, prev);
+                self.probe_add(prev, writes_to_death);
             }
             self.counters.total_writes += writes_to_death;
             self.counters.demand_writes += writes_to_death;
@@ -631,7 +676,7 @@ impl NvmDevice {
         let past_last_failure = (n - rem) % u64::from(limit);
         self.wear.refill_after_failures(pa, failures, past_last_failure);
         if let Some(prev) = prev {
-            self.probe_note(pa, prev);
+            self.probe_add(prev, n);
         }
         self.counters.total_writes += n;
         self.counters.demand_writes += n;

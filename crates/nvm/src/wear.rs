@@ -17,12 +17,16 @@
 //!   `limit - remaining` plus a per-line `extra` that accumulates one
 //!   `limit` per failure-refill. Failures are globally bounded by the spare
 //!   pool, so `extra` lives in a lazily-allocated bitset + hash overlay
-//!   instead of a dense array.
+//!   instead of a dense array. The overlay hashes line addresses with one
+//!   folded multiply rather than SipHash: keys are simulator-chosen line
+//!   numbers, not attacker input, and the wear probe looks them up on
+//!   every write to a failed line.
 //!
 //! Bulk operations (range decrements, count materialization, reset) work on
 //! chunks of plain integer slices so the compiler can autovectorize them.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::Pa;
 
@@ -50,6 +54,33 @@ enum LimitTable {
     Full(Vec<u32>),
 }
 
+/// Hasher for [`Pa`] keys: one 64×64→128-bit multiply by an odd
+/// constant, folded by xoring the halves, so both the bucket index (low
+/// bits) and the control byte (high bits) depend on every key bit.
+#[derive(Default)]
+struct PaHasher(u64);
+
+impl Hasher for PaHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type PaMap<V> = HashMap<Pa, V, BuildHasherDefault<PaHasher>>;
+
 /// Sparse overlay for lines whose derived write count needs an offset:
 /// failure refills and stuck-at remaps. Allocated on first use, so a
 /// fresh or failure-free device pays nothing.
@@ -58,7 +89,25 @@ struct FailedSet {
     /// One bit per line: set iff the line has a nonzero `extra`.
     bits: Vec<u64>,
     /// Accumulated write-count offset per marked line.
-    extra: HashMap<Pa, u64>,
+    extra: PaMap<u64>,
+}
+
+impl FailedSet {
+    /// Call `f` with every marked line in `[start, end)`, ascending.
+    #[inline]
+    fn for_each_marked(&self, start: usize, end: usize, mut f: impl FnMut(Pa)) {
+        for word in start >> 6..end.div_ceil(64) {
+            let lo = (word << 6).max(start);
+            let hi = ((word + 1) << 6).min(end);
+            // Bits [lo, hi) of this word; `hi - lo` is 1..=64.
+            let mask = (u64::MAX >> (64 - (hi - lo))) << (lo & 63);
+            let mut bits = self.bits[word] & mask;
+            while bits != 0 {
+                f(((word << 6) + bits.trailing_zeros() as usize) as Pa);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// The structure-of-arrays wear state behind [`NvmDevice`].
@@ -192,7 +241,7 @@ impl WearState {
     fn add_extra(&mut self, pa: Pa, k: u64) {
         let words = (self.lines as usize).div_ceil(64);
         let f = self.failed.get_or_insert_with(|| {
-            Box::new(FailedSet { bits: vec![0; words], extra: HashMap::new() })
+            Box::new(FailedSet { bits: vec![0; words], extra: PaMap::default() })
         });
         f.bits[(pa >> 6) as usize] |= 1 << (pa & 63);
         *f.extra.entry(pa).or_insert(0) += k;
@@ -229,6 +278,33 @@ impl WearState {
             Countdown::U16(v) => v[s..s + n].iter().all(|&r| r > 1),
             Countdown::U32(v) => v[s..s + n].iter().all(|&r| r > 1),
         }
+    }
+
+    /// The wear probe's view of a chunk that is about to take one write
+    /// per line: `Some((Σ count, max count))` over `[start, start + n)`
+    /// when every line clears the failure check (as
+    /// [`range_clear_of_failures`](Self::range_clear_of_failures)), `None`
+    /// otherwise. Counts are the derived [`write_count`](Self::write_count)
+    /// values; marked overlay lines are corrected one by one.
+    #[inline]
+    pub fn clear_range_count_moments(&self, start: Pa, n: u64) -> Option<(u64, u32)> {
+        let (s, e) = (start as usize, (start + n) as usize);
+        let (min_rem, mut sum, mut max) = match &self.remaining {
+            Countdown::U16(v) => used_moments(&v[s..e], &self.limits, s),
+            Countdown::U32(v) => used_moments(&v[s..e], &self.limits, s),
+        };
+        if min_rem <= 1 {
+            return None;
+        }
+        if let Some(f) = &self.failed {
+            f.for_each_marked(s, e, |pa| {
+                let used = (u64::from(self.limit(pa)) - self.remaining(pa)) as u32;
+                let count = used.wrapping_add(f.extra[&pa] as u32);
+                sum = sum - u64::from(used) + u64::from(count);
+                max = max.max(count);
+            });
+        }
+        Some((sum, max))
     }
 
     /// Apply one write's countdown to every line in `[start, start + n)`,
@@ -420,7 +496,7 @@ impl WearState {
                 )));
             }
             let n = r.get_u64()?;
-            let mut extra = HashMap::with_capacity(n as usize);
+            let mut extra = PaMap::with_capacity_and_hasher(n as usize, Default::default());
             for _ in 0..n {
                 let pa = r.get_u64()?;
                 let k = r.get_u64()?;
@@ -485,6 +561,47 @@ fn encode_limits(v: Vec<u32>) -> (LimitTable, u32) {
         LimitTable::Full(v)
     };
     (table, max)
+}
+
+/// `(min remaining, Σ used, max used)` over the countdown slice `rem`,
+/// which starts at line `s`; `used = limit - remaining`. Uniform limits
+/// need no per-line table: `Σ used = n·base - Σ remaining` and the
+/// largest `used` sits at the smallest countdown.
+#[inline]
+fn used_moments<T: Copy + Into<u32>>(rem: &[T], limits: &LimitTable, s: usize) -> (u32, u64, u32) {
+    let e = s + rem.len();
+    match limits {
+        LimitTable::Uniform { base } => {
+            let (mut min, mut sum) = (u32::MAX, 0u64);
+            for &r in rem {
+                let r = r.into();
+                min = min.min(r);
+                sum += u64::from(r);
+            }
+            (min, rem.len() as u64 * u64::from(*base) - sum, base - min)
+        }
+        LimitTable::Delta8 { base, deltas } => used_moments_table(rem, *base, &deltas[s..e]),
+        LimitTable::Delta16 { base, deltas } => used_moments_table(rem, *base, &deltas[s..e]),
+        LimitTable::Full(v) => used_moments_table(rem, 0, &v[s..e]),
+    }
+}
+
+/// [`used_moments`] against a per-line table, `limit = base + deltas[i]`.
+#[inline]
+fn used_moments_table<T: Copy + Into<u32>, D: Copy + Into<u32>>(
+    rem: &[T],
+    base: u32,
+    deltas: &[D],
+) -> (u32, u64, u32) {
+    let (mut min, mut sum, mut max) = (u32::MAX, 0u64, 0u32);
+    for (&r, &d) in rem.iter().zip(deltas) {
+        let r = r.into();
+        let used = base + d.into() - r;
+        min = min.min(r);
+        sum += u64::from(used);
+        max = max.max(used);
+    }
+    (min, sum, max)
 }
 
 fn fill_from_limits_u16(rem: &mut [u16], limits: &LimitTable) {

@@ -424,11 +424,17 @@ impl Daemon {
         true
     }
 
-    fn worker(&self) {
+    /// Serve slices until shutdown. The external `stop` latch is polled at
+    /// every slice boundary, so a stop request lands before the next slice
+    /// starts rather than at the serve loop's next 20 ms poll.
+    fn worker(&self, stop: impl Fn() -> bool) {
         loop {
             match self.queue_rx.recv_timeout(Duration::from_millis(25)) {
                 Ok(tenant) => {
                     let requeue = self.run_slice(&tenant);
+                    if stop() {
+                        self.request_shutdown();
+                    }
                     if self.shutting_down() {
                         // Quiesce: the final checkpoint sweep in `serve`
                         // captures whatever this slice did not save.
@@ -471,6 +477,9 @@ impl Daemon {
                 Endpoint::Tcp(l) => match l.accept() {
                     Ok((stream, _)) => {
                         let _ = stream.set_nonblocking(false);
+                        // Answers are single small writes; send each at once
+                        // rather than holding it for the client's ACK.
+                        let _ = stream.set_nodelay(true);
                         Some(Box::new(move |d: &Daemon| {
                             let _ = serve_connection(stream, |req| d.handle(req));
                         }))
@@ -507,8 +516,9 @@ impl Daemon {
     /// Run the daemon: spawn the worker pool, accept control connections
     /// on every endpoint, and block until shutdown is requested (by a
     /// `Shutdown` command or by `stop` returning true — the binary's
-    /// signal latch). Before returning, every still-running tenant is
-    /// checkpointed once more, so a graceful exit never loses progress.
+    /// signal latch). `stop` is polled every 20 ms and by each worker at
+    /// every slice boundary. Before returning, every still-running tenant
+    /// is checkpointed once more, so a graceful exit never loses progress.
     pub fn serve(
         self: &Arc<Self>,
         endpoints: Vec<Endpoint>,
@@ -518,7 +528,8 @@ impl Daemon {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let daemon = Arc::clone(self);
-                scope.spawn(move || daemon.worker());
+                let stop = stop.clone();
+                scope.spawn(move || daemon.worker(stop));
             }
             for endpoint in endpoints {
                 let daemon = Arc::clone(self);

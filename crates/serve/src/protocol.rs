@@ -127,12 +127,17 @@ impl Response {
     }
 }
 
-/// Serialize `value` as one newline-terminated JSON line and flush.
+/// Serialize `value` as one newline-terminated JSON line, hand it to `w`
+/// in a single `write_all`, and flush.
+///
+/// One write per line matters on TCP: a second small write queued behind
+/// an unacknowledged first one waits for the peer's delayed ACK (~40 ms)
+/// under Nagle's algorithm.
 pub fn write_line<W: Write, T: Serialize>(w: &mut W, value: &T) -> std::io::Result<()> {
-    let json = serde_json::to_string(value)
+    let mut line = serde_json::to_string(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    w.write_all(json.as_bytes())?;
-    w.write_all(b"\n")?;
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     w.flush()
 }
 
@@ -249,5 +254,28 @@ mod tests {
         assert_eq!(lines[0], "\"Pong\"");
         assert!(lines[1].contains("malformed request"), "{}", lines[1]);
         assert_eq!(lines[2], "\"ShuttingDown\"");
+    }
+
+    #[test]
+    fn each_response_goes_out_in_one_write() {
+        /// Records every `write` call separately.
+        #[derive(Default)]
+        struct Recorder(Vec<Vec<u8>>);
+        impl Write for Recorder {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut rec = Recorder::default();
+        write_line(&mut rec, &Response::Pong).unwrap();
+        write_line(&mut rec, &Response::error("no tenant \"x\"")).unwrap();
+        assert_eq!(rec.0.len(), 2, "one write per response: {:?}", rec.0);
+        assert_eq!(rec.0[0], b"\"Pong\"\n");
+        assert!(rec.0[1].ends_with(b"}\n") && !rec.0[1][..rec.0[1].len() - 1].contains(&b'\n'));
     }
 }

@@ -50,6 +50,14 @@ struct DaemonProc {
     addr: String,
 }
 
+impl Drop for DaemonProc {
+    /// A failed assertion must not leave the daemon running.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// Spawn the real `sawl-serve` binary on a free port and parse the
 /// bound address from its `listening on` line.
 fn spawn_daemon(state_dir: &Path, extra: &[&str]) -> DaemonProc {
@@ -106,34 +114,42 @@ fn sigkill_then_restart_resumes_byte_identically() {
     let references: Vec<_> =
         tenants.iter().map(|(name, exp)| (name.clone(), run_lifetime(exp).unwrap())).collect();
 
-    // Daemon #1: checkpoint every 50k writes, then SIGKILL mid-run.
+    // Daemon #1: checkpoint every 50k writes, then SIGKILL mid-run with
+    // the machine-sized worker pool serving every tenant at once. Tenants
+    // are admitted one at a time, each once its predecessors are past their
+    // first periodic checkpoint: their per-write costs differ by well over
+    // an order of magnitude in debug builds, so a simultaneous start would
+    // let the fast tenant finish before the slow one reaches the window.
+    // The fixture lists the slower SAWL tenant first.
     {
         let mut daemon =
             spawn_daemon(&dir, &["--checkpoint-interval", "50000", "--slice-batches", "4"]);
-        for (name, exp) in &tenants {
+        let start = Instant::now();
+        for (admitted, (name, exp)) in tenants.iter().enumerate() {
             let resp =
                 call(&daemon.addr, &Request::Submit { tenant: name.clone(), spec: exp.clone() });
             assert!(matches!(resp, Response::Ok), "{resp:?}");
-        }
-        let start = Instant::now();
-        loop {
-            let status = status_of(&daemon.addr);
-            for t in &status {
-                assert_ne!(t.state, "failed", "tenant {} failed: {:?}", t.tenant, t.error);
+            loop {
+                let status = status_of(&daemon.addr);
+                for t in &status {
+                    assert_ne!(t.state, "failed", "tenant {} failed: {:?}", t.tenant, t.error);
+                }
+                // Go on once every admitted tenant is past its first periodic
+                // checkpoint but none has finished — after the last one, that
+                // is the interesting kill window.
+                let past_ckpt = status.len() == admitted + 1
+                    && status.iter().all(|t| t.demand_writes >= 100_000);
+                let any_done = status.iter().any(|t| t.state == "finished");
+                if past_ckpt || any_done {
+                    assert!(!any_done, "a tenant finished before the kill; grow its cap");
+                    break;
+                }
+                assert!(
+                    start.elapsed() < Duration::from_secs(120),
+                    "tenants never reached the kill window: {status:?}"
+                );
+                std::thread::sleep(Duration::from_millis(10));
             }
-            // Kill once every tenant is past its first periodic checkpoint
-            // but none has finished — that is the interesting window.
-            let past_ckpt = status.len() == 2 && status.iter().all(|t| t.demand_writes >= 100_000);
-            let any_done = status.iter().any(|t| t.state == "finished");
-            if past_ckpt || any_done {
-                assert!(!any_done, "a tenant finished before the kill; grow its cap");
-                break;
-            }
-            assert!(
-                start.elapsed() < Duration::from_secs(120),
-                "tenants never reached the kill window: {status:?}"
-            );
-            std::thread::sleep(Duration::from_millis(10));
         }
         daemon.child.kill().expect("SIGKILL");
         daemon.child.wait().unwrap();

@@ -203,41 +203,37 @@ fn bad_submissions_are_rejected_with_typed_errors() {
 #[test]
 fn graceful_shutdown_checkpoints_and_restart_continues_byte_identically() {
     let dir = unique_dir("graceful");
-    // Sized so the run takes a macroscopic fraction of a second even in
-    // release builds: the test must reach the shutdown point mid-run.
+    // Far more work than the one slice the first daemon gets to run.
     let mut exp = small_exp("serve/graceful", 4_000_000);
     exp.device.endurance = 20_000;
     let reference = run_lifetime(&exp).unwrap();
 
-    // First daemon: let the tenant make some progress, then shut down.
+    // First daemon: stop gracefully as soon as the tenant has published
+    // progress. Workers poll the stop latch at every slice boundary, so the
+    // tenant pauses after exactly its first slice (two stream batches) on
+    // any host, fast or slow.
     {
         let mut cfg = ServeConfig::new(&dir);
         cfg.workers = 1;
         cfg.slice_batches = 2;
-        let fx = Fixture::start(cfg);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let daemon = Daemon::new(cfg).unwrap();
+        let serve = {
+            let daemon = Arc::clone(&daemon);
+            let progressed = Arc::clone(&daemon);
+            let stop = move || progressed.status().iter().any(|t| t.demand_writes > 0);
+            std::thread::spawn(move || daemon.serve(vec![Endpoint::Tcp(listener)], stop).unwrap())
+        };
         assert!(matches!(
-            call(fx.addr, &Request::Submit { tenant: "t".into(), spec: exp.clone() }),
+            call(addr, &Request::Submit { tenant: "t".into(), spec: exp.clone() }),
             Response::Ok
         ));
-        let start = Instant::now();
-        loop {
-            let Response::Status { tenants } =
-                call(fx.addr, &Request::Tenant { tenant: "t".into() })
-            else {
-                panic!("status failed");
-            };
-            let t = &tenants[0];
-            assert_ne!(t.state, "failed", "{:?}", t.error);
-            if t.state == "finished" {
-                panic!("tenant finished before the shutdown point; raise the cap");
-            }
-            if t.demand_writes > 0 {
-                break;
-            }
-            assert!(start.elapsed() < Duration::from_secs(60), "tenant never progressed");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        fx.shutdown();
+        serve.join().unwrap();
+        let [t] = &daemon.status()[..] else { panic!("one tenant expected") };
+        assert_ne!(t.state, "failed", "{:?}", t.error);
+        assert_eq!(t.state, "running", "tenant finished before the shutdown point");
+        assert!(t.demand_writes > 0 && t.demand_writes < t.cap, "{t:?}");
         assert!(dir.join("t.ckpt").exists(), "graceful shutdown must checkpoint");
         assert!(!dir.join("t.result.json").exists(), "tenant must not have finished");
     }

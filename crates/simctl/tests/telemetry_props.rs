@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use sawl_algos::WearLeveler;
 use sawl_simctl::{
-    run_lifetime, stable_seed, Channel, DeviceSpec, LifetimeExperiment, SchemeSpec, TelemetryRun,
-    TelemetrySpec, WorkloadSpec,
+    pump_writes_telemetry, run_lifetime, stable_seed, Channel, DeviceSpec, LifetimeExperiment,
+    SchemeSpec, TelemetryRun, TelemetrySpec, WorkloadSpec,
 };
 use sawl_trace::AddressStream;
 
@@ -105,5 +105,56 @@ proptest! {
             assert!((mean - full.mean).abs() < 1e-9, "mean {mean} vs full {}", full.mean);
             assert_eq!(max, u64::from(full.max));
         }
+    }
+}
+
+/// The four speed-probe schemes with telemetry on, BPA to device death at
+/// 2^12 lines: their data movement runs through the probed bulk range path
+/// (`write_wl_range`), closed-form runs and scalar overhead writes, and
+/// the probe's final snapshot must still equal a full O(lines) recompute.
+#[test]
+fn probe_matches_full_recompute_at_device_death_for_the_probe_schemes() {
+    for scheme in [
+        SchemeSpec::PcmS { region_lines: 16, period: 32 },
+        SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 },
+        SchemeSpec::Mwsr { region_lines: 16, period: 32 },
+        SchemeSpec::sawl_default(1024),
+    ] {
+        let name = scheme.name();
+        let e = LifetimeExperiment {
+            id: format!("props/death/{name}"),
+            scheme,
+            workload: WorkloadSpec::Bpa { writes_per_target: 2048 },
+            data_lines: 1 << 12,
+            device: DeviceSpec { endurance: 1_000, ..Default::default() },
+            max_demand_writes: u64::MAX,
+            fault: None,
+            telemetry: Some(TelemetrySpec::with_stride(10_000)),
+            timing: None,
+        };
+        let seed = stable_seed(&e.id);
+        let mut wl = e.scheme.instantiate(e.data_lines, seed);
+        let mut dev = e.device.build(e.scheme.physical_lines(e.data_lines), seed);
+        let mut run = TelemetryRun::new(&e.id, e.telemetry.as_ref().unwrap());
+        run.attach(&mut wl, &mut dev);
+        let mut stream = e.workload.build(wl.logical_lines(), seed);
+        pump_writes_telemetry(&mut wl, &mut dev, &mut stream, u64::MAX, Some(&mut run)).unwrap();
+        assert!(dev.is_dead(), "{name}: BPA must wear the device out");
+        assert!(dev.wear().overhead_writes > 0, "{name}: no data movement was exercised");
+
+        let snap = dev.wear_snapshot().expect("telemetry attaches the probe");
+        let full = dev.wear_stats();
+        assert_eq!(
+            (snap.lines, snap.total, snap.max),
+            (full.lines, full.total, full.max),
+            "{name}"
+        );
+        assert!(
+            (snap.mean - full.mean).abs() < 1e-9,
+            "{name}: mean {} vs {}",
+            snap.mean,
+            full.mean
+        );
+        assert!((snap.cov - full.cov).abs() < 1e-9, "{name}: cov {} vs {}", snap.cov, full.cov);
     }
 }
