@@ -29,6 +29,7 @@
 //! the logical space — verified by [`verify::check_permutation`] and by
 //! property tests in each module.
 
+mod deferred;
 pub mod exchange;
 pub mod mwsr;
 pub mod nowl;

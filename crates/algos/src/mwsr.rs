@@ -26,6 +26,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sawl_nvm::{La, NvmDevice, Pa};
 
+use crate::deferred::DeferredRun;
 use crate::region::RegionGeometry;
 use crate::WearLeveler;
 
@@ -206,8 +207,10 @@ impl Mwsr {
     }
 
     /// Advance the active migration by one line, or start a migration for
-    /// `trigger_region` if the engine is idle.
-    fn step(&mut self, trigger_region: u32, dev: &mut NvmDevice) {
+    /// `trigger_region` if the engine is idle, posting the move through
+    /// `run`. The moved line's translation changes to its new home, which
+    /// is the line written — never its old one.
+    fn step(&mut self, trigger_region: u32, dev: &mut NvmDevice, run: &mut DeferredRun) {
         let lrn = match self.active {
             Some(lrn) => lrn,
             None => {
@@ -233,7 +236,7 @@ impl Mwsr {
         };
         // Move the next line to its new home (one overhead write).
         let off = self.migrated;
-        dev.write_wl(self.place(self.next, off));
+        run.overhead(dev, self.place(self.next, off));
         self.migrated += 1;
         if self.migrated == self.geo.region_lines() {
             // Migration complete: the old placement's region becomes spare.
@@ -274,36 +277,46 @@ impl WearLeveler for Mwsr {
         self.ctr[lrn] += 1;
         if u64::from(self.ctr[lrn]) >= self.period {
             self.ctr[lrn] = 0;
-            self.step(lrn as u32, dev);
+            self.step(lrn as u32, dev, &mut DeferredRun::default());
         }
         pa
     }
 
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
         // The mapping of `la` only changes in `step`, which fires every
-        // `period` writes to its region: serve one write scalar (with any
-        // step it triggers), then apply the rest of the pre-step gap in
-        // closed form on the device.
+        // `period` writes to its region: the window up to (and including)
+        // the trigger shares one translation. A step moves `la` only while
+        // its own region migrates and the step's offset is `la`'s; the
+        // next window then sees a new line, which flushes the pending run.
+        // Across every other step the run stays open (see `DeferredRun`).
+        if n == 1 && !dev.is_dead() && !dev.fault_plan_armed() {
+            // A lone write (YCSB's length-1 runs) is one scalar write; the
+            // run bookkeeping would only add to it.
+            self.write(la, dev);
+            return 1;
+        }
         let lrn = self.geo.region_of(la) as usize;
+        let mut run = DeferredRun::default();
         let mut done = 0;
         while done < n {
-            self.write(la, dev);
-            done += 1;
-            if dev.is_dead() || done >= n {
-                break;
-            }
-            let gap = (self.period - u64::from(self.ctr[lrn])).max(1) - 1;
-            let k = (n - done).min(gap);
-            if k == 0 {
-                continue;
-            }
-            let (applied, _) = dev.write_run(self.translate(la), k);
+            let pa = self.translate(la);
+            let gap = self.period.saturating_sub(u64::from(self.ctr[lrn])).max(1);
+            let window = (n - done).min(gap);
+            let applied = run.demand(dev, pa, window, window == gap && window < n - done);
             self.ctr[lrn] += applied as u32;
             done += applied;
-            if applied < k {
+            if applied < window {
+                break;
+            }
+            if u64::from(self.ctr[lrn]) >= self.period {
+                self.ctr[lrn] = 0;
+                self.step(lrn as u32, dev, &mut run);
+            }
+            if dev.is_dead() {
                 break;
             }
         }
+        run.flush(dev);
         done
     }
 

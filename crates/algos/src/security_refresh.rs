@@ -23,6 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sawl_nvm::{La, NvmDevice, Pa};
 
+use crate::deferred::DeferredRun;
 use crate::region::RegionGeometry;
 use crate::WearLeveler;
 
@@ -156,6 +157,21 @@ impl SecurityRefresh {
         self.refresh_steps
     }
 
+    /// Fire the refresh step once the trigger counter reaches the period,
+    /// posting its swap writes through `run`. Forced inline, like the
+    /// `DeferredRun` calls inside it (see `DeferredRun::demand`).
+    #[inline(always)]
+    fn step_if_due(&mut self, dev: &mut NvmDevice, run: &mut DeferredRun) {
+        if self.writes >= self.period {
+            self.writes = 0;
+            self.refresh_steps += 1;
+            if let Some((s1, s2)) = self.sr.step(&mut self.rng) {
+                run.overhead(dev, s1);
+                run.overhead(dev, s2);
+            }
+        }
+    }
+
     /// Checkpoint the SR state, trigger counter, and key-drawing RNG.
     pub fn ckpt_save(&self, w: &mut sawl_ckpt::Writer) {
         self.sr.ckpt_save(w);
@@ -204,14 +220,7 @@ impl WearLeveler for SecurityRefresh {
         let pa = self.sr.map(la);
         dev.write(pa);
         self.writes += 1;
-        if self.writes >= self.period {
-            self.writes = 0;
-            self.refresh_steps += 1;
-            if let Some((s1, s2)) = self.sr.step(&mut self.rng) {
-                dev.write_wl(s1);
-                dev.write_wl(s2);
-            }
-        }
+        self.step_if_due(dev, &mut DeferredRun::default());
         pa
     }
 
@@ -225,29 +234,32 @@ impl WearLeveler for SecurityRefresh {
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
         // The SR mapping only moves in `step`, every `period` writes: the
         // whole window up to (and including) the step trigger shares one
-        // translation, so it collapses into a single device run.
+        // translation. A step moves `la` exactly when it writes `la`'s
+        // current line, which flushes the pending run and is the only time
+        // `la` is re-translated; across every other step the run stays
+        // open (see `DeferredRun`).
+        let mut run = DeferredRun::default();
+        let mut pa = self.sr.map(la);
         let mut done = 0;
         while done < n {
-            let pa = self.sr.map(la);
-            let window = (n - done).min(self.period - self.writes);
-            let (applied, _) = dev.write_run(pa, window);
+            let gap = self.period - self.writes;
+            let window = (n - done).min(gap);
+            let applied = run.demand(dev, pa, window, window == gap && window < n - done);
             self.writes += applied;
             done += applied;
             if applied < window {
                 break;
             }
-            if self.writes >= self.period {
-                self.writes = 0;
-                self.refresh_steps += 1;
-                if let Some((s1, s2)) = self.sr.step(&mut self.rng) {
-                    dev.write_wl(s1);
-                    dev.write_wl(s2);
-                }
-            }
+            self.step_if_due(dev, &mut run);
             if dev.is_dead() {
                 break;
             }
+            if run.take_moved() {
+                pa = self.sr.map(la);
+            }
+            debug_assert_eq!(pa, self.sr.map(la), "line moved without a write to its home");
         }
+        run.flush(dev);
         done
     }
 
@@ -305,6 +317,13 @@ impl Tlsr {
         }
     }
 
+    /// Region (of the intermediate address) and physical line of `la`.
+    #[inline]
+    fn locate(&self, la: La) -> (usize, Pa) {
+        let intermediate = self.outer.map(la);
+        (self.geo.region_of(intermediate) as usize, self.inner_map(intermediate))
+    }
+
     /// Map an intermediate (post-outer) address to physical via the inner
     /// instance of its region.
     #[inline]
@@ -312,6 +331,30 @@ impl Tlsr {
         let region = self.geo.region_of(intermediate);
         let off = self.geo.offset_of(intermediate);
         self.geo.combine(region, self.inner[region as usize].map(off))
+    }
+
+    /// Fire whichever refresh steps are due after a demand write to
+    /// `region` — inner first, then outer — posting their swap writes
+    /// through `run`. The outer level's swapped intermediate slots are
+    /// physically located through the inner mapping of their regions.
+    /// Forced inline, like the `DeferredRun` calls inside it (see
+    /// `DeferredRun::demand`).
+    #[inline(always)]
+    fn steps_if_due(&mut self, region: usize, dev: &mut NvmDevice, run: &mut DeferredRun) {
+        if u64::from(self.inner_writes[region]) >= self.inner_period {
+            self.inner_writes[region] = 0;
+            if let Some((o1, o2)) = self.inner[region].step(&mut self.rng) {
+                run.overhead(dev, self.geo.combine(region as u64, o1));
+                run.overhead(dev, self.geo.combine(region as u64, o2));
+            }
+        }
+        if self.outer_writes >= self.outer_period {
+            self.outer_writes = 0;
+            if let Some((i1, i2)) = self.outer.step(&mut self.rng) {
+                run.overhead(dev, self.inner_map(i1));
+                run.overhead(dev, self.inner_map(i2));
+            }
+        }
     }
 
     /// Expected write-overhead fraction of this configuration
@@ -387,31 +430,11 @@ impl WearLeveler for Tlsr {
     }
 
     fn write(&mut self, la: La, dev: &mut NvmDevice) -> Pa {
-        let intermediate = self.outer.map(la);
-        let region = self.geo.region_of(intermediate) as usize;
-        let pa = self.inner_map(intermediate);
+        let (region, pa) = self.locate(la);
         dev.write(pa);
-
-        // Inner level: per-region counter.
         self.inner_writes[region] += 1;
-        if u64::from(self.inner_writes[region]) >= self.inner_period {
-            self.inner_writes[region] = 0;
-            if let Some((o1, o2)) = self.inner[region].step(&mut self.rng) {
-                dev.write_wl(self.geo.combine(region as u64, o1));
-                dev.write_wl(self.geo.combine(region as u64, o2));
-            }
-        }
-
-        // Outer level: global counter; the swapped intermediate slots are
-        // physically located through the inner mapping of their regions.
         self.outer_writes += 1;
-        if self.outer_writes >= self.outer_period {
-            self.outer_writes = 0;
-            if let Some((i1, i2)) = self.outer.step(&mut self.rng) {
-                dev.write_wl(self.inner_map(i1));
-                dev.write_wl(self.inner_map(i2));
-            }
-        }
+        self.steps_if_due(region, dev, &mut DeferredRun::default());
         pa
     }
 
@@ -429,44 +452,42 @@ impl WearLeveler for Tlsr {
 
     fn write_run(&mut self, la: La, n: u64, dev: &mut NvmDevice) -> u64 {
         // Both SR levels move only on their periodic steps; between steps
-        // the translation of `la` is frozen. The whole window up to (and
-        // including) the nearer of the two step triggers shares one
-        // translation — one map plus one device run per window, instead of
-        // a scalar write (two full translations) at the head of each.
+        // the translation of `la` is frozen, so the whole window up to
+        // (and including) the nearer of the two step triggers shares one
+        // translation. A step moves `la` exactly when it writes `la`'s
+        // current line (inner swap in its region, or outer swap of its
+        // intermediate slot), which flushes the pending run and is the
+        // only time `la` is re-translated; across every other step the run
+        // stays open (see `DeferredRun`).
+        let mut run = DeferredRun::default();
+        let (mut region, mut pa) = self.locate(la);
         let mut done = 0;
         while done < n {
-            let intermediate = self.outer.map(la);
-            let region = self.geo.region_of(intermediate) as usize;
-            let off = self.geo.offset_of(intermediate);
-            let pa = self.geo.combine(region as u64, self.inner[region].map(off));
             let inner_gap = self.inner_period - u64::from(self.inner_writes[region]);
             let outer_gap = self.outer_period - self.outer_writes;
-            let window = (n - done).min(inner_gap.min(outer_gap));
-            let (applied, _) = dev.write_run(pa, window);
+            let gap = inner_gap.min(outer_gap);
+            let window = (n - done).min(gap);
+            let applied = run.demand(dev, pa, window, window == gap && window < n - done);
             self.inner_writes[region] += applied as u32;
             self.outer_writes += applied;
             done += applied;
             if applied < window {
                 break;
             }
-            if u64::from(self.inner_writes[region]) >= self.inner_period {
-                self.inner_writes[region] = 0;
-                if let Some((o1, o2)) = self.inner[region].step(&mut self.rng) {
-                    dev.write_wl(self.geo.combine(region as u64, o1));
-                    dev.write_wl(self.geo.combine(region as u64, o2));
-                }
-            }
-            if self.outer_writes >= self.outer_period {
-                self.outer_writes = 0;
-                if let Some((i1, i2)) = self.outer.step(&mut self.rng) {
-                    dev.write_wl(self.inner_map(i1));
-                    dev.write_wl(self.inner_map(i2));
-                }
-            }
+            self.steps_if_due(region, dev, &mut run);
             if dev.is_dead() {
                 break;
             }
+            if run.take_moved() {
+                (region, pa) = self.locate(la);
+            }
+            debug_assert_eq!(
+                (region, pa),
+                self.locate(la),
+                "line moved without a write to its home"
+            );
         }
+        run.flush(dev);
         done
     }
 

@@ -285,6 +285,14 @@ impl NvmDevice {
         self.wear.limit(pa)
     }
 
+    /// Writes line `pa` takes before its next failure: its countdown,
+    /// always ≥ 1 between writes. Read-only; lets a caller prove that a
+    /// batch of writes to one line cannot fail before committing it.
+    #[inline]
+    pub fn remaining_writes(&self, pa: Pa) -> u64 {
+        self.wear.remaining(pa)
+    }
+
     /// Current write count of one line (derived from the SoA state).
     #[inline]
     pub fn write_count(&self, pa: Pa) -> u32 {
@@ -854,7 +862,7 @@ mod tests {
     fn wear_probe_enabled_mid_run_and_reset() {
         let mut dev = tiny(8, 100, 2);
         for i in 0..8 {
-            dev.write_run(i, u64::from(i) * 7 + 1);
+            dev.write_run(i, i * 7 + 1);
         }
         dev.enable_wear_probe();
         assert_probe_matches_full_stats(&dev);
@@ -961,6 +969,34 @@ mod tests {
             assert_eq!(dev.write(0), WriteOutcome::Ok);
         }
         assert_eq!(dev.write(0), WriteOutcome::LineFailed);
+    }
+
+    #[test]
+    fn remaining_writes_counts_down_to_the_next_failure() {
+        let cfg = NvmConfig::builder()
+            .lines(8)
+            .banks(1)
+            .endurance(100)
+            .spare_shift(1)
+            .variation(EnduranceModel::Gaussian { cov: 0.3 })
+            .seed(9)
+            .build()
+            .unwrap();
+        let mut dev = NvmDevice::new(cfg);
+        let limit = u64::from(dev.limit(2));
+        assert_eq!(dev.remaining_writes(2), limit, "a fresh line has its whole limit left");
+        dev.write(2);
+        dev.write_wl(2);
+        assert_eq!(dev.remaining_writes(2), limit - 2);
+        assert_eq!(dev.write_run(2, limit - 3), (limit - 3, WriteOutcome::Ok));
+        assert_eq!(dev.remaining_writes(2), 1, "the next write fails");
+        assert_eq!(dev.write_wl(2), WriteOutcome::LineFailed);
+        assert_eq!(dev.remaining_writes(2), limit, "the spare starts a full countdown");
+        assert_eq!(dev.remaining_writes(3), u64::from(dev.limit(3)), "other lines untouched");
+        // Reading the countdown is observation only.
+        let before = dev.wear_stats();
+        dev.remaining_writes(2);
+        assert_eq!(dev.wear_stats(), before);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! the default here.
 //!
 //! The crate also carries the latency model (Table 1 of the paper) used by
-//! `sawl-timing`, bank geometry, and wear-distribution statistics
+//! `sawl-timing` and wear-distribution statistics
 //! (max/mean/CoV/Gini/histograms) used to analyse how well a wear-leveling
 //! scheme balances writes.
 //!
@@ -33,20 +33,16 @@
 //! assert_eq!(dev.wear().total_writes, 1);
 //! ```
 
-pub mod bank;
 pub mod config;
 pub mod device;
-pub mod energy;
 pub mod fault;
 pub mod latency;
 pub mod stats;
 pub mod variation;
 pub mod wear;
 
-pub use bank::BankGeometry;
 pub use config::{NvmConfig, NvmConfigBuilder, NvmConfigError};
 pub use device::{NvmDevice, WearCounters, WearSnapshot, WriteOutcome};
-pub use energy::EnergyModel as AccessEnergyModel;
 pub use fault::{FaultPlan, FaultPlanError};
 pub use latency::{LatencyConfig, MemTech};
 pub use stats::{FaultCounters, WearStats};

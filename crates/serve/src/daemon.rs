@@ -25,9 +25,9 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::TcpListener;
+use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -83,6 +83,42 @@ pub enum Endpoint {
     /// A bound Unix-domain listener.
     #[cfg(unix)]
     Unix(UnixListener),
+}
+
+/// One accepted control connection.
+enum Conn {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Unix(UnixStream),
+}
+
+impl Conn {
+    fn try_clone(&self) -> io::Result<Conn> {
+        Ok(match self {
+            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
+            #[cfg(unix)]
+            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
+        })
+    }
+
+    /// Serve line-JSON requests until the client hangs up or sends
+    /// `Shutdown`.
+    fn serve(self, daemon: &Daemon) {
+        let _ = match self {
+            Conn::Tcp(s) => serve_connection(s, |req| daemon.handle(req)),
+            #[cfg(unix)]
+            Conn::Unix(s) => serve_connection(s, |req| daemon.handle(req)),
+        };
+    }
+
+    /// Wake a reader blocked on this socket with end-of-stream.
+    fn shutdown_read(&self) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Read),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.shutdown(Shutdown::Read),
+        };
+    }
 }
 
 /// The multi-tenant simulation daemon. See the [module docs](self).
@@ -454,6 +490,11 @@ impl Daemon {
         }
     }
 
+    /// Accept control connections on `endpoint` until shutdown, one
+    /// thread each. At shutdown every still-open connection's read half is
+    /// shut down, so a thread blocked reading an idle client wakes with
+    /// end-of-stream and the joins below cannot hang; answers already being
+    /// written still go out.
     fn accept_loop(self: &Arc<Self>, endpoint: Endpoint, stop: impl Fn() -> bool) {
         match &endpoint {
             Endpoint::Tcp(l) => {
@@ -464,7 +505,7 @@ impl Daemon {
                 let _ = l.set_nonblocking(true);
             }
         }
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut conns: Vec<(std::thread::JoinHandle<()>, Conn)> = Vec::new();
         loop {
             if self.shutting_down() {
                 break;
@@ -473,42 +514,33 @@ impl Daemon {
                 self.request_shutdown();
                 break;
             }
-            let accepted: Option<Box<dyn FnOnce(&Daemon) + Send>> = match &endpoint {
-                Endpoint::Tcp(l) => match l.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        // Answers are single small writes; send each at once
-                        // rather than holding it for the client's ACK.
-                        let _ = stream.set_nodelay(true);
-                        Some(Box::new(move |d: &Daemon| {
-                            let _ = serve_connection(stream, |req| d.handle(req));
-                        }))
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(_) => None,
-                },
+            let accepted = match &endpoint {
+                Endpoint::Tcp(l) => l.accept().ok().map(|(stream, _)| {
+                    let _ = stream.set_nonblocking(false);
+                    // Answers are single small writes; send each at once
+                    // rather than holding it for the client's ACK.
+                    let _ = stream.set_nodelay(true);
+                    Conn::Tcp(stream)
+                }),
                 #[cfg(unix)]
-                Endpoint::Unix(l) => match l.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        Some(Box::new(move |d: &Daemon| {
-                            let _ = serve_connection(stream, |req| d.handle(req));
-                        }))
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(_) => None,
-                },
+                Endpoint::Unix(l) => l.accept().ok().map(|(stream, _)| {
+                    let _ = stream.set_nonblocking(false);
+                    Conn::Unix(stream)
+                }),
             };
-            match accepted {
-                Some(conn) => {
-                    let daemon = Arc::clone(self);
-                    conns.push(std::thread::spawn(move || conn(&daemon)));
-                    conns.retain(|h| !h.is_finished());
-                }
-                None => std::thread::sleep(Duration::from_millis(20)),
-            }
+            let Some(conn) = accepted else {
+                std::thread::sleep(Duration::from_millis(20));
+                continue;
+            };
+            // Without a handle to unblock its reader at shutdown the
+            // connection is refused rather than risking a hung join.
+            let Ok(handle) = conn.try_clone() else { continue };
+            let daemon = Arc::clone(self);
+            conns.push((std::thread::spawn(move || conn.serve(&daemon)), handle));
+            conns.retain(|(h, _)| !h.is_finished());
         }
-        for h in conns {
+        for (h, conn) in conns {
+            conn.shutdown_read();
             let _ = h.join();
         }
     }

@@ -41,7 +41,7 @@ pub(crate) const PHASE_FAILED: u8 = 2;
 pub(crate) enum TenantState {
     /// In progress; `last_ckpt` is the demand-write mark of the latest
     /// checkpoint, driving the periodic-save interval.
-    Running { run: ResumableRun, last_ckpt: u64 },
+    Running { run: Box<ResumableRun>, last_ckpt: u64 },
     /// Ran to completion; the result is served from memory.
     Finished(Box<LifetimeResult>),
     /// Died with an error; the message is served from status queries.
@@ -64,21 +64,20 @@ pub(crate) struct Tenant {
 impl Tenant {
     /// Wrap a freshly built or resumed run.
     pub(crate) fn running(name: String, run: ResumableRun) -> Self {
-        let t = Tenant {
+        Tenant {
             name,
             phase: AtomicU8::new(PHASE_RUNNING),
             demand_writes: AtomicU64::new(run.demand_writes()),
             cap: AtomicU64::new(run.cap()),
             batches: AtomicU64::new(run.batches()),
             error: Mutex::new(None),
-            state: Mutex::new(TenantState::Running { run, last_ckpt: 0 }),
-        };
-        // A resumed run starts its periodic-save clock from its cursor,
-        // not from zero, so resume does not immediately re-checkpoint.
-        if let TenantState::Running { run, last_ckpt } = &mut *t.state.lock().unwrap() {
-            *last_ckpt = run.demand_writes();
+            // A resumed run starts its periodic-save clock from its cursor,
+            // not from zero, so resume does not immediately re-checkpoint.
+            state: Mutex::new(TenantState::Running {
+                last_ckpt: run.demand_writes(),
+                run: Box::new(run),
+            }),
         }
-        t
     }
 
     /// Wrap an already-finished result (restart after completion).

@@ -1,7 +1,8 @@
 //! Crash realism against the real binary: SIGKILL a live daemon mid-run,
 //! restart it, and pin that every tenant's resumed result — and its
 //! streamed telemetry — is byte-identical to an uninterrupted run. Also
-//! covers SIGTERM → graceful checkpoint-and-exit-0.
+//! covers SIGTERM → graceful checkpoint-and-exit-0, and prompt exit with
+//! an idle client still connected.
 //!
 //! The tenants come from `specs/serve_smoke.json` (one plain, one
 //! fault-armed with stuck lines, transient faults, and scheduled power
@@ -12,7 +13,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use sawl_serve::{Request, Response};
@@ -237,4 +238,47 @@ fn sigterm_checkpoints_all_tenants_and_exits_zero() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The child's exit status if it exits within `limit`.
+fn exits_within(child: &mut Child, limit: Duration) -> Option<ExitStatus> {
+    let start = Instant::now();
+    loop {
+        if let Some(code) = child.try_wait().unwrap() {
+            return Some(code);
+        }
+        if start.elapsed() > limit {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn idle_client_does_not_hold_up_shutdown_or_sigterm() {
+    for how in ["shutdown", "sigterm"] {
+        let dir = unique_dir(&format!("idle-{how}"));
+        let mut daemon = spawn_daemon(&dir, &[]);
+        // A client that proves its connection is served, then goes quiet:
+        // its connection thread is left blocked reading the next line.
+        let mut idle = BufReader::new(TcpStream::connect(&daemon.addr).unwrap());
+        let ping = serde_json::to_string(&Request::Ping).unwrap();
+        idle.get_mut().write_all(format!("{ping}\n").as_bytes()).unwrap();
+        let mut line = String::new();
+        idle.read_line(&mut line).unwrap();
+        assert!(matches!(serde_json::from_str(line.trim()).unwrap(), Response::Pong), "{line}");
+
+        if how == "shutdown" {
+            assert!(matches!(call(&daemon.addr, &Request::Shutdown), Response::ShuttingDown));
+        } else {
+            let pid = daemon.child.id().to_string();
+            assert!(Command::new("kill").args(["-TERM", &pid]).status().unwrap().success());
+        }
+        let code = exits_within(&mut daemon.child, Duration::from_secs(1))
+            .unwrap_or_else(|| panic!("daemon still up 1 s after {how} with an idle client"));
+        assert!(code.success(), "{how} must exit 0, got {code:?}");
+        line.clear();
+        assert_eq!(idle.read_line(&mut line).unwrap(), 0, "idle client must see end of stream");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

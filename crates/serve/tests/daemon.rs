@@ -70,7 +70,6 @@ fn wait_finished(addr: SocketAddr, tenants: &[&str], deadline: Duration) {
 
 struct Fixture {
     addr: SocketAddr,
-    daemon: Arc<Daemon>,
     serve: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -79,13 +78,10 @@ impl Fixture {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let daemon = Daemon::new(cfg).unwrap();
-        let serve = {
-            let daemon = Arc::clone(&daemon);
-            std::thread::spawn(move || {
-                daemon.serve(vec![Endpoint::Tcp(listener)], || false).unwrap();
-            })
-        };
-        Fixture { addr, daemon, serve: Some(serve) }
+        let serve = std::thread::spawn(move || {
+            daemon.serve(vec![Endpoint::Tcp(listener)], || false).unwrap();
+        });
+        Fixture { addr, serve: Some(serve) }
     }
 
     fn shutdown(mut self) {

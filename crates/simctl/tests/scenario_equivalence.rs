@@ -45,7 +45,7 @@ fn scalar_lifetime(exp: &LifetimeExperiment) -> LifetimeResult {
 
     let mut pulled: u64 = 0;
     while !dev.is_dead() && dev.wear().demand_writes < cap {
-        if pulled % BLOCK as u64 == 0 {
+        if pulled.is_multiple_of(BLOCK as u64) {
             feed_observation(stream.as_mut(), &mut dev);
         }
         pulled += 1;
@@ -218,6 +218,169 @@ fn single_sr_batched_write_run_matches_scalar_across_periods() {
         let batched = run_lifetime(&exp).unwrap();
         let scalar = scalar_lifetime(&exp);
         assert_eq!(batched, scalar, "batched SR diverged from scalar for {}", exp.id);
+    }
+}
+
+#[test]
+fn mwsr_batched_write_run_matches_scalar_across_parameter_grid() {
+    // MWSR's `write_run` keeps one demand run open across migration
+    // steps until the hammered line itself migrates. Sweep the step
+    // period against region sizes from 4 lines (a migration every few
+    // steps, so the hot line moves often) to 64, with dwells below,
+    // equal to and far above the period.
+    for region_lines in [4u64, 16, 64] {
+        for period in [1u64, 7, 32, 128] {
+            for dwell in [period.saturating_sub(1).max(1), period, 16 * period + 3] {
+                let exp = LifetimeExperiment {
+                    id: format!("equiv-mwsr/{region_lines}-{period}/{dwell}"),
+                    scheme: SchemeSpec::Mwsr { region_lines, period },
+                    workload: WorkloadSpec::Bpa { writes_per_target: dwell },
+                    data_lines: 1 << 9,
+                    device: DeviceSpec { endurance: 200, ..Default::default() },
+                    max_demand_writes: 0,
+                    fault: None,
+                    telemetry: None,
+                    timing: None,
+                };
+                let batched = run_lifetime(&exp).unwrap();
+                let scalar = scalar_lifetime(&exp);
+                assert_eq!(batched, scalar, "batched MWSR diverged from scalar for {}", exp.id);
+            }
+        }
+    }
+}
+
+/// The schemes whose `write_run` defers demand writes across steps, each
+/// at a paper-like period and at period 1, where step writes match demand
+/// writes in number and so often are the ones that fail.
+fn deferring_schemes() -> Vec<SchemeSpec> {
+    vec![
+        SchemeSpec::SingleSr { period: 8 },
+        SchemeSpec::SingleSr { period: 1 },
+        SchemeSpec::Tlsr { region_lines: 64, inner_period: 8, outer_period: 32 },
+        SchemeSpec::Tlsr { region_lines: 16, inner_period: 1, outer_period: 2 },
+        SchemeSpec::Mwsr { region_lines: 16, period: 32 },
+        SchemeSpec::Mwsr { region_lines: 4, period: 1 },
+    ]
+}
+
+/// Serve the same BPA-shaped run sequence (random targets, `dwell`
+/// writes each) to a batched twin through `write_run` and to a scalar
+/// twin through `write`, until the device dies, comparing the devices
+/// after every run: returned counts, counters, death point, per-line
+/// counts, the probe's snapshot (when `probe`) and the line's
+/// translation. Returns how many runs ended with the scalar twin's
+/// device killed by an overhead write, i.e. by a step write while the
+/// batched twin held demand writes back.
+fn lockstep_to_death(scheme: &SchemeSpec, device: &DeviceSpec, dwell: u64, probe: bool) -> u64 {
+    let id = format!("lockstep/{}/{dwell}/{probe}", scheme.name());
+    let seed = stable_seed(&id);
+    let data_lines = 1 << 9;
+    let phys = scheme.physical_lines(data_lines);
+    let mut batched = scheme.instantiate(data_lines, seed);
+    let mut scalar = scheme.instantiate(data_lines, seed);
+    let mut bdev = device.build(phys, seed);
+    let mut sdev = device.build(phys, seed);
+    if probe {
+        bdev.enable_wear_probe();
+        sdev.enable_wear_probe();
+    }
+    let mut x = seed | 1;
+    let mut overhead_deaths = 0;
+    while !sdev.is_dead() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let la = x % batched.logical_lines();
+        let done = batched.write_run(la, dwell, &mut bdev);
+        let mut reference = 0;
+        while reference < dwell && !sdev.is_dead() {
+            let overhead = sdev.wear().overhead_writes;
+            scalar.write(la, &mut sdev);
+            reference += 1;
+            if sdev.is_dead() && sdev.wear().overhead_writes > overhead {
+                overhead_deaths += 1;
+            }
+        }
+        assert_eq!(done, reference, "{id}: served count diverged");
+        assert_eq!(bdev.wear(), sdev.wear(), "{id}: counters diverged");
+        assert_eq!(bdev.demand_writes_at_death(), sdev.demand_writes_at_death(), "{id}");
+        assert_eq!(bdev.spares_remaining(), sdev.spares_remaining(), "{id}");
+        assert_eq!(bdev.write_counts(), sdev.write_counts(), "{id}: per-line wear diverged");
+        assert_eq!(bdev.wear_snapshot(), sdev.wear_snapshot(), "{id}: probe diverged");
+        assert_eq!(batched.translate(la), scalar.translate(la), "{id}: mapping diverged");
+    }
+    assert!(bdev.is_dead(), "{id}: batched device outlived the scalar one");
+    overhead_deaths
+}
+
+#[test]
+fn deferred_runs_match_scalar_when_step_writes_fail_under_variation() {
+    // Gaussian endurance at 200 makes lines fail every few hundred
+    // writes, so step writes fail — and kill the device — while a
+    // deferred demand run is pending. Both the lifetime pump and a
+    // per-run lockstep must match the scalar loop exactly, and the grid
+    // must actually hit a death on a step write for each scheme family.
+    let device = DeviceSpec {
+        endurance: 200,
+        variation: sawl_nvm::EnduranceModel::Gaussian { cov: 0.2 },
+        ..Default::default()
+    };
+    let mut overhead_deaths = std::collections::BTreeMap::new();
+    for scheme in deferring_schemes() {
+        for dwell in [5u64, 96, 2_048] {
+            let exp = LifetimeExperiment {
+                id: format!("equiv-defer/{}/{dwell}", scheme.name()),
+                scheme: scheme.clone(),
+                workload: WorkloadSpec::Bpa { writes_per_target: dwell },
+                data_lines: 1 << 9,
+                device,
+                max_demand_writes: 0,
+                fault: None,
+                telemetry: None,
+                timing: None,
+            };
+            assert_eq!(run_lifetime(&exp).unwrap(), scalar_lifetime(&exp), "{}", exp.id);
+            let family = scheme.name().split('/').next().unwrap().to_string();
+            *overhead_deaths.entry(family).or_insert(0) +=
+                lockstep_to_death(&scheme, &device, dwell, false);
+        }
+    }
+    for family in ["sr", "tlsr", "mwsr"] {
+        assert!(
+            overhead_deaths.get(family).is_some_and(|&d| d > 0),
+            "no {family} case ended on a failing step write: {overhead_deaths:?}"
+        );
+    }
+}
+
+#[test]
+fn deferred_runs_match_scalar_with_the_wear_probe_on() {
+    // Telemetry on: the probe's Σc² and max must match the scalar twin
+    // after every run, deaths included.
+    let device = DeviceSpec {
+        endurance: 200,
+        variation: sawl_nvm::EnduranceModel::Gaussian { cov: 0.2 },
+        ..Default::default()
+    };
+    for scheme in deferring_schemes() {
+        for dwell in [7u64, 512] {
+            lockstep_to_death(&scheme, &device, dwell, true);
+        }
+        let exp = LifetimeExperiment {
+            id: format!("equiv-defer-tel/{}", scheme.name()),
+            scheme: scheme.clone(),
+            workload: WorkloadSpec::Bpa { writes_per_target: 512 },
+            data_lines: 1 << 9,
+            device,
+            max_demand_writes: 0,
+            fault: None,
+            telemetry: Some(sawl_simctl::TelemetrySpec::with_stride(777)),
+            timing: None,
+        };
+        let mut observed = run_lifetime(&exp).unwrap();
+        observed.telemetry.take().expect("series requested");
+        assert_eq!(observed, scalar_lifetime(&exp), "{}", exp.id);
     }
 }
 

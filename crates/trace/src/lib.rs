@@ -31,7 +31,6 @@ pub mod phased;
 pub mod rate_mode;
 pub mod reuse;
 pub mod spec;
-pub mod stats;
 pub mod ycsb;
 pub mod zipf;
 
@@ -47,7 +46,6 @@ pub use phased::{Mix, Phased};
 pub use rate_mode::RateMode;
 pub use reuse::ReuseTracker;
 pub use spec::{SpecBenchmark, SpecModel, ALL_BENCHMARKS};
-pub use stats::StreamStats;
 pub use ycsb::Ycsb;
 pub use zipf::Zipf;
 
